@@ -383,8 +383,7 @@ func (e *Engine) countResponse(start time.Time) {
 // The paper's measurement deliberately avoids CHAOS (a recursive
 // answers it itself); we serve it so the contrast is demonstrable.
 func (e *Engine) answerChaos(resp *dnswire.Message, q dnswire.Question) bool {
-	name := q.Name.Key()
-	if q.Type == dnswire.TypeTXT && (name == "hostname.bind." || name == "id.server.") && e.cfg.Identity != "" {
+	if q.Type == dnswire.TypeTXT && dnswire.IsIdentityName(q.Name) && e.cfg.Identity != "" {
 		resp.Authoritative = true
 		resp.Answers = []dnswire.RR{{
 			Name:  q.Name,
@@ -445,22 +444,34 @@ func (e *Engine) zoneFor(qname dnswire.Name) *zone.Zone {
 }
 
 // addGlue fills the additional section with addresses for NS targets
-// named in the authority section.
+// named in the authority section, once per distinct target.
 func (e *Engine) addGlue(resp *dnswire.Message, z *zone.Zone) {
-	seen := make(map[string]bool)
-	for _, rr := range resp.Authority {
+	// Gather on the stack, then grow the section once.
+	var buf [8]dnswire.RR
+	glue := buf[:0]
+	for i, rr := range resp.Authority {
 		ns, ok := rr.Data.(dnswire.NS)
-		if !ok || seen[ns.Host.Key()] {
+		if !ok || namesNS(resp.Authority[:i], ns.Host) {
 			continue
 		}
-		seen[ns.Host.Key()] = true
-		for _, typ := range []dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
+		for _, typ := range [...]dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
 			res := z.Lookup(ns.Host, typ)
 			if res.Kind == zone.Success {
-				resp.Additional = append(resp.Additional, res.Records...)
+				glue = append(glue, res.Records...)
 			}
 		}
 	}
+	resp.Additional = append(resp.Additional, glue...)
+}
+
+// namesNS reports whether an NS record in rrs targets host.
+func namesNS(rrs []dnswire.RR, host dnswire.Name) bool {
+	for _, rr := range rrs {
+		if ns, ok := rr.Data.(dnswire.NS); ok && ns.Host.Equal(host) {
+			return true
+		}
+	}
+	return false
 }
 
 // appendTruncate rebuilds the response at the end of dst with TC set

@@ -12,7 +12,8 @@ import (
 // FuzzParseMessage drives Unpack with arbitrary wire bytes and checks
 // the decoder's core contract: anything it accepts must re-encode
 // (unknown RR types survive as Raw), the re-encoding must parse to the
-// same header and section shape, and packing must be a fixpoint —
+// same header, section shape and names (compared case-insensitively),
+// and packing must be a fixpoint —
 // Pack(Unpack(Pack(m))) is byte-identical to Pack(m). The servers sit
 // on this path for every hostile packet the soak tests throw, so the
 // decoder must never panic and never accept what it cannot re-emit.
@@ -35,14 +36,30 @@ func FuzzParseMessage(f *testing.F) {
 			f.Add(b)
 		}
 	}
+	// Two questions a\.b.c and a.b\.c: distinct names whose joined
+	// presentation forms collide.
+	f.Add([]byte("\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00" +
+		"\x03a.b\x01c\x00\x00\x01\x00\x01" + "\x01a\x03b.c\x00\x00\x01\x00\x01"))
 	f.Add([]byte{})                                            // empty
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0})          // header claims a question
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xc0, 0}) // self-pointing compression
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unpack(data)
+		// The decoder's name cache only shares strings: decoding every
+		// name in full must accept the same input and yield the same
+		// bytes.
+		plain, perr := unpack(data, nil)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("name cache changes acceptance: %v vs %v", err, perr)
+		}
 		if err != nil {
 			return
+		}
+		for i, n := range messageNames(plain) {
+			if cached := messageNames(m)[i]; cached.wire != n.wire {
+				t.Fatalf("name %d decodes as %q with the cache, %q without", i, cached.wire, n.wire)
+			}
 		}
 		packed, err := m.Pack()
 		if err != nil {
@@ -59,6 +76,18 @@ func FuzzParseMessage(f *testing.F) {
 			len(m2.Authority) != len(m.Authority) || len(m2.Additional) != len(m.Additional) {
 			t.Fatalf("section counts changed across round-trip")
 		}
+		// Every name must survive the trip. Equal is case-insensitive
+		// because a compression pointer to an earlier spelling of the
+		// same name may change its case.
+		names, names2 := messageNames(m), messageNames(m2)
+		if len(names) != len(names2) {
+			t.Fatalf("name count changed across round-trip: %d vs %d", len(names), len(names2))
+		}
+		for i := range names {
+			if !names[i].Equal(names2[i]) {
+				t.Fatalf("name %d changed across round-trip: %q vs %q", i, names[i].wire, names2[i].wire)
+			}
+		}
 		packed2, err := m2.Pack()
 		if err != nil {
 			t.Fatalf("second Pack failed: %v", err)
@@ -67,6 +96,33 @@ func FuzzParseMessage(f *testing.F) {
 			t.Fatalf("Pack is not a fixpoint:\n%x\n%x", packed, packed2)
 		}
 	})
+}
+
+// messageNames lists every name in m in wire order: question names,
+// then each record's owner followed by the names in its rdata.
+func messageNames(m *Message) []Name {
+	var out []Name
+	for _, q := range m.Questions {
+		out = append(out, q.Name)
+	}
+	for _, sec := range [][]RR{m.Answers, m.Authority, m.Additional} {
+		for _, rr := range sec {
+			out = append(out, rr.Name)
+			switch d := rr.Data.(type) {
+			case NS:
+				out = append(out, d.Host)
+			case CNAME:
+				out = append(out, d.Target)
+			case PTR:
+				out = append(out, d.Target)
+			case MX:
+				out = append(out, d.Host)
+			case SOA:
+				out = append(out, d.MName, d.RName)
+			}
+		}
+	}
+	return out
 }
 
 // corpusSeeds loads the checked-in seed inputs of another fuzz target

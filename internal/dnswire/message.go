@@ -75,8 +75,27 @@ func (m *Message) OPT() (OPT, bool) {
 func (m *Message) SetEDNS0(udpSize uint16, dnssecOK bool) {
 	m.Additional = append(m.Additional, RR{
 		Name: Root,
-		Data: OPT{UDPSize: udpSize, DNSSECOK: dnssecOK},
+		Data: optData(OPT{UDPSize: udpSize, DNSSECOK: dnssecOK}),
 	})
+}
+
+// defaultOPTs are the OPT rdata every resolver query and server
+// response of this system carries, boxed once: converting a fresh OPT
+// to RData allocates.
+var defaultOPTs = [2]RData{
+	OPT{UDPSize: DefaultEDNSSize},
+	OPT{UDPSize: DefaultEDNSSize, DNSSECOK: true},
+}
+
+// optData returns o as RData, sharing the boxed default values.
+func optData(o OPT) RData {
+	if o.UDPSize == DefaultEDNSSize && o.ExtendedRCode == 0 && o.Version == 0 {
+		if o.DNSSECOK {
+			return defaultOPTs[1]
+		}
+		return defaultOPTs[0]
+	}
+	return o
 }
 
 // Pack encodes the message into wire format with name compression.
@@ -129,7 +148,7 @@ func (m *Message) AppendPack(dst []byte) ([]byte, error) {
 	var err error
 	for _, sec := range [][]RR{m.Answers, m.Authority, m.Additional} {
 		for _, rr := range sec {
-			msg, err = appendRR(msg, rr, c)
+			msg, err = appendRR(msg, rr, &c)
 			if err != nil {
 				return nil, err
 			}
@@ -162,7 +181,7 @@ func appendRR(msg []byte, rr RR, c *compressor) ([]byte, error) {
 	// Reserve RDLENGTH, encode rdata, then backfill the length.
 	lenOff := len(msg)
 	msg = append(msg, 0, 0)
-	msg = rr.Data.appendTo(msg, c)
+	msg = appendRData(msg, rr.Data, c)
 	rdlen := len(msg) - lenOff - 2
 	if rdlen > 0xFFFF {
 		return nil, ErrRDataTooLong
@@ -171,8 +190,34 @@ func appendRR(msg []byte, rr RR, c *compressor) ([]byte, error) {
 	return msg, nil
 }
 
+// appendRData encodes rdata, calling the name-bearing types' encoders
+// directly: handing the compressor through the RData interface would
+// move it, and its inline table, to the heap on every Pack.
+func appendRData(msg []byte, d RData, c *compressor) []byte {
+	switch d := d.(type) {
+	case NS:
+		return d.appendTo(msg, c)
+	case CNAME:
+		return d.appendTo(msg, c)
+	case PTR:
+		return d.appendTo(msg, c)
+	case MX:
+		return d.appendTo(msg, c)
+	case SOA:
+		return d.appendTo(msg, c)
+	}
+	return d.appendTo(msg, nil)
+}
+
 // Unpack decodes a wire-format DNS message.
 func Unpack(b []byte) (*Message, error) {
+	var names nameCache
+	return unpack(b, &names)
+}
+
+// unpack is Unpack with the name cache explicit; a nil cache decodes
+// every name in full.
+func unpack(b []byte, names *nameCache) (*Message, error) {
 	if len(b) < 12 {
 		return nil, ErrTruncatedMessage
 	}
@@ -194,9 +239,20 @@ func Unpack(b []byte) (*Message, error) {
 
 	off := 12
 	var err error
+	// The header counts size the section slices, capped by what the
+	// remaining octets could hold (a question takes at least 5, a
+	// record 11) so a lying header cannot force a large allocation.
+	// All three record sections share one backing array.
+	if qd > 0 {
+		m.Questions = make([]Question, 0, min(qd, (len(b)-off)/5))
+	}
+	var rrs []RR
+	if n := an + ns + ar; n > 0 {
+		rrs = make([]RR, 0, min(n, (len(b)-off)/11))
+	}
 	for i := 0; i < qd; i++ {
 		var q Question
-		q.Name, off, err = decodeName(b, off)
+		q.Name, off, err = decodeName(b, off, names)
 		if err != nil {
 			return nil, err
 		}
@@ -212,21 +268,25 @@ func Unpack(b []byte) (*Message, error) {
 		count int
 		dst   *[]RR
 	}{{an, &m.Answers}, {ns, &m.Authority}, {ar, &m.Additional}} {
+		start := len(rrs)
 		for i := 0; i < sec.count; i++ {
 			var rr RR
-			rr, off, err = decodeRR(b, off)
+			rr, off, err = decodeRR(b, off, names)
 			if err != nil {
 				return nil, err
 			}
-			*sec.dst = append(*sec.dst, rr)
+			rrs = append(rrs, rr)
+		}
+		if sec.count > 0 {
+			*sec.dst = rrs[start:len(rrs):len(rrs)]
 		}
 	}
 	return m, nil
 }
 
 // decodeRR decodes one resource record starting at off.
-func decodeRR(b []byte, off int) (RR, int, error) {
-	name, off, err := decodeName(b, off)
+func decodeRR(b []byte, off int, names *nameCache) (RR, int, error) {
+	name, off, err := decodeName(b, off, names)
 	if err != nil {
 		return RR{}, 0, err
 	}
@@ -243,16 +303,16 @@ func decodeRR(b []byte, off int) (RR, int, error) {
 	}
 	rr := RR{Name: name}
 	if typ == TypeOPT {
-		rr.Data = OPT{
+		rr.Data = optData(OPT{
 			UDPSize:       classBits,
 			ExtendedRCode: uint8(ttlBits >> 24),
 			Version:       uint8(ttlBits >> 16),
 			DNSSECOK:      ttlBits&(1<<15) != 0,
-		}
+		})
 	} else {
 		rr.Class = Class(classBits)
 		rr.TTL = ttlBits
-		rr.Data, err = decodeRData(typ, b, off, rdlen)
+		rr.Data, err = decodeRData(typ, b, off, rdlen, names)
 		if err != nil {
 			return RR{}, 0, err
 		}
@@ -280,7 +340,22 @@ func NewChaosQuery(id uint16, name Name) *Message {
 	}
 }
 
+// The CHAOS names a server answers with its identity.
+var (
+	hostnameBind = MustParseName("hostname.bind.")
+	idServer     = MustParseName("id.server.")
+)
+
+// IsIdentityName reports whether name is one of the CHAOS identity
+// names, hostname.bind or id.server (case-insensitively).
+func IsIdentityName(name Name) bool {
+	return name.Equal(hostnameBind) || name.Equal(idServer)
+}
+
 // NewResponse builds a response skeleton echoing q's ID and question.
+// The question section shares q's first question, capped at length
+// one: appending to it copies, and neither message may edit it in
+// place.
 func NewResponse(q *Message) (*Message, error) {
 	if len(q.Questions) == 0 {
 		return nil, ErrNotAQuestion
@@ -292,7 +367,7 @@ func NewResponse(q *Message) (*Message, error) {
 			Opcode:           q.Opcode,
 			RecursionDesired: q.RecursionDesired,
 		},
-		Questions: []Question{q.Questions[0]},
+		Questions: q.Questions[:1:1],
 	}, nil
 }
 

@@ -229,6 +229,13 @@ func TestChaosQuery(t *testing.T) {
 	if got.RecursionDesired {
 		t.Error("CHAOS identity queries should not request recursion")
 	}
+	for name, want := range map[string]bool{
+		"hostname.bind": true, "ID.Server.": true, "bind": false, "x.hostname.bind": false, "id.server.nl": false,
+	} {
+		if IsIdentityName(MustParseName(name)) != want {
+			t.Errorf("IsIdentityName(%s) = %v", name, !want)
+		}
+	}
 }
 
 func TestNewResponse(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestParseName(t *testing.T) {
@@ -137,7 +138,7 @@ func TestNameWireRoundTrip(t *testing.T) {
 	for _, s := range []string{".", "nl.", "example.nl.", "a.very.deep.chain.of.labels.example.nl."} {
 		n := MustParseName(s)
 		wire := n.appendWire(nil)
-		got, off, err := decodeName(wire, 0)
+		got, off, err := decodeName(wire, 0, nil)
 		if err != nil {
 			t.Fatalf("decode %q: %v", s, err)
 		}
@@ -165,15 +166,15 @@ func TestCompressionRoundTrip(t *testing.T) {
 	if len(msg)-firstLen >= firstLen+len(msg) {
 		t.Fatal("bogus arithmetic")
 	}
-	d1, off, err := decodeName(msg, 0)
+	d1, off, err := decodeName(msg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, off, err := decodeName(msg, off)
+	d2, off, err := decodeName(msg, off, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d3, off, err := decodeName(msg, off)
+	d3, off, err := decodeName(msg, off, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,17 +200,17 @@ func TestCompressionRoundTrip(t *testing.T) {
 func TestDecodeNameLoopDetection(t *testing.T) {
 	// A pointer that points at itself.
 	msg := []byte{0xC0, 0x00}
-	if _, _, err := decodeName(msg, 0); err != ErrCompressionLoop {
+	if _, _, err := decodeName(msg, 0, nil); err != ErrCompressionLoop {
 		t.Errorf("self pointer: err = %v, want loop", err)
 	}
 	// Two pointers pointing at each other.
 	msg = []byte{0xC0, 0x02, 0xC0, 0x00}
-	if _, _, err := decodeName(msg, 2); err != ErrCompressionLoop {
+	if _, _, err := decodeName(msg, 2, nil); err != ErrCompressionLoop {
 		t.Errorf("mutual pointers: err = %v, want loop", err)
 	}
 	// Forward pointer.
 	msg = []byte{0xC0, 0x04, 0x00, 0x00, 0x01, 'a', 0x00}
-	if _, _, err := decodeName(msg, 0); err != ErrCompressionLoop {
+	if _, _, err := decodeName(msg, 0, nil); err != ErrCompressionLoop {
 		t.Errorf("forward pointer: err = %v, want loop", err)
 	}
 }
@@ -222,7 +223,7 @@ func TestDecodeNameTruncation(t *testing.T) {
 		{1, 'a'},      // missing terminator
 	}
 	for i, msg := range cases {
-		if _, _, err := decodeName(msg, 0); err == nil {
+		if _, _, err := decodeName(msg, 0, nil); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -230,7 +231,7 @@ func TestDecodeNameTruncation(t *testing.T) {
 
 func TestDecodeNameReservedLabelType(t *testing.T) {
 	msg := []byte{0x80, 0x00}
-	if _, _, err := decodeName(msg, 0); err == nil {
+	if _, _, err := decodeName(msg, 0, nil); err == nil {
 		t.Error("reserved label type should fail")
 	}
 }
@@ -253,7 +254,7 @@ func TestDecodeNameTooLongViaPointers(t *testing.T) {
 			msg = append(msg, 0xC0|byte(prev>>8), byte(prev))
 		}
 	}
-	_, _, err := decodeName(msg, offsets[4])
+	_, _, err := decodeName(msg, offsets[4], nil)
 	if err != ErrNameTooLong {
 		t.Errorf("err = %v, want ErrNameTooLong", err)
 	}
@@ -289,10 +290,137 @@ func TestNameRoundTripProperty(t *testing.T) {
 			return false
 		}
 		wire := n.appendWire(nil)
-		got, _, err := decodeName(wire, 0)
+		got, _, err := decodeName(wire, 0, nil)
 		return err == nil && got.Equal(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// wireName builds a name straight from its wire form, for label bytes
+// that presentation format cannot spell ('.', non-UTF-8).
+func wireName(t *testing.T, wire string) Name {
+	t.Helper()
+	n, _, err := decodeName([]byte(wire+"\x00"), 0, nil)
+	if err != nil {
+		t.Fatalf("decodeName(%q, nil): %v", wire, err)
+	}
+	return n
+}
+
+// TestNameWireAliasing pins that names differing only where a joined
+// presentation string would blur them — a '.' inside a label, or two
+// different invalid UTF-8 bytes — stay distinct in equality, in keys
+// and under compression.
+func TestNameWireAliasing(t *testing.T) {
+	pairs := [][2]string{
+		{"\x03a.b\x01c", "\x01a\x03b.c"}, // a\.b.c vs a.b\.c
+		{"\x01\xff\x02nl", "\x01\xfe\x02nl"},
+		{"\x03x\x01a", "\x01a"}, // a label spelling another name's wire form
+	}
+	for _, p := range pairs {
+		a, b := wireName(t, p[0]), wireName(t, p[1])
+		if a.Equal(b) || a.WireKey() == b.WireKey() {
+			t.Errorf("%q and %q alias: Equal %v, WireKey %v",
+				p[0], p[1], a.Equal(b), a.WireKey() == b.WireKey())
+		}
+		if b.IsSubdomainOf(a) || a.IsSubdomainOf(b) {
+			t.Errorf("%q and %q: one claims to lie under the other", p[0], p[1])
+		}
+
+		// Two questions that differ only that way must re-pack as two
+		// distinct names, not as a pointer to the first.
+		m := &Message{Questions: []Question{
+			{Name: a, Type: TypeA, Class: ClassINET},
+			{Name: b, Type: TypeA, Class: ClassINET},
+		}}
+		wire, err := m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Unpack(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Questions[0].Name.Equal(a) || !got.Questions[1].Name.Equal(b) {
+			t.Errorf("%q, %q re-pack as %q, %q", p[0], p[1],
+				got.Questions[0].Name.wire, got.Questions[1].Name.wire)
+		}
+	}
+	// The presentation key cannot escape a '.', but it no longer maps
+	// distinct invalid bytes to one replacement rune.
+	if wireName(t, pairs[1][0]).Key() == wireName(t, pairs[1][1]).Key() {
+		t.Error("Key folds distinct non-UTF-8 labels together")
+	}
+}
+
+// TestNameASCIIOnlyFolding pins RFC 4343 §3: case folding covers the
+// ASCII letters only, so U+212A KELVIN SIGN does not match 'k'.
+func TestNameASCIIOnlyFolding(t *testing.T) {
+	kelvin := MustParseName("Key.nl.")
+	key := MustParseName("key.nl.")
+	if kelvin.Equal(key) || kelvin.WireKey() == key.WireKey() || kelvin.Key() == key.Key() {
+		t.Error("KELVIN SIGN folds to 'k'")
+	}
+	if MustParseName("x.Key.nl").IsSubdomainOf(key) {
+		t.Error("x.Key.nl. lies under key.nl.")
+	}
+	if kelvin.Key() != "Key.nl." {
+		t.Errorf("Key lowered a non-ASCII letter: %q", kelvin.Key())
+	}
+	upper := MustParseName("KEY.NL")
+	if !upper.Equal(key) || upper.WireKey() != key.WireKey() || upper.Key() != "key.nl." ||
+		!MustParseName("x.KEY.nl").IsSubdomainOf(key) {
+		t.Error("ASCII letters must still fold")
+	}
+}
+
+// TestNameCacheSharesAndKeepsLimits checks the decoder's name cache: a
+// bare pointer to a decoded name's label start reuses that name's
+// string, and a pointer that would take the walk past the hop limit
+// still fails exactly as a full decode does.
+func TestNameCacheSharesAndKeepsLimits(t *testing.T) {
+	q := NewQuery(7, MustParseName("Probe.example.nl"), TypeTXT)
+	resp, _ := NewResponse(q)
+	resp.Answers = []RR{{Name: q.Questions[0].Name, Class: ClassINET, TTL: 5, Data: TXT{Strings: []string{"x"}}}}
+	resp.Authority = []RR{{Name: MustParseName("example.nl"), Class: ClassINET, TTL: 5,
+		Data: NS{Host: MustParseName("ns1.example.nl")}}}
+	wire, err := resp.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Unpack(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qn, owner, apex := m.Questions[0].Name.wire, m.Answers[0].Name.wire, m.Authority[0].Name.wire
+	if unsafe.StringData(owner) != unsafe.StringData(qn) {
+		t.Error("answer owner does not share the question's string")
+	}
+	if apex != qn[len(qn)-len(apex):] || unsafe.StringData(apex) != unsafe.StringData(qn[len(qn)-len(apex):]) {
+		t.Error("apex owner does not share the question's suffix")
+	}
+
+	// "a" at 0, a chain of 126 pointers each to the one before, then
+	// "b"+pointer (127 hops: allowed) and a bare pointer to it (128).
+	msg := []byte("\x01a\x00")
+	prev := 0
+	for i := 0; i < 126; i++ {
+		at := len(msg)
+		msg = append(msg, byte(0xC0|prev>>8), byte(prev))
+		prev = at
+	}
+	x := len(msg)
+	msg = append(msg, 1, 'b', byte(0xC0|prev>>8), byte(prev))
+	y := len(msg)
+	msg = append(msg, byte(0xC0|x>>8), byte(x))
+	for _, names := range []*nameCache{nil, {}} {
+		if n, _, err := decodeName(msg, x, names); err != nil || n.String() != "b.a." {
+			t.Fatalf("127-hop name: %v, %v", n, err)
+		}
+		if _, _, err := decodeName(msg, y, names); err != ErrCompressionLoop {
+			t.Errorf("128-hop name (cache %v): err = %v, want ErrCompressionLoop", names != nil, err)
+		}
 	}
 }

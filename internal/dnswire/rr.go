@@ -15,7 +15,8 @@ var ErrRDataTooLong = errors.New("dnswire: rdata exceeds 65535 octets")
 //
 // appendTo appends the wire form of the rdata to msg. Name-bearing
 // rdata (NS, CNAME, PTR, SOA, MX) participates in message compression
-// via c, as RFC 1035 permits for these well-known types.
+// via c, as RFC 1035 permits for these well-known types; appendRData
+// dispatches them and hands every other type a nil c.
 type RData interface {
 	// Type returns the RR type this rdata belongs to.
 	Type() Type
@@ -252,7 +253,7 @@ func (r Raw) String() string { return fmt.Sprintf("\\# %d %x", len(r.Data), r.Da
 
 // decodeRData parses rdata of the given type from msg[off:off+rdlen].
 // Compression pointers inside rdata may reference earlier parts of msg.
-func decodeRData(typ Type, msg []byte, off, rdlen int) (RData, error) {
+func decodeRData(typ Type, msg []byte, off, rdlen int, names *nameCache) (RData, error) {
 	end := off + rdlen
 	if end > len(msg) {
 		return nil, ErrTruncatedMessage
@@ -269,27 +270,27 @@ func decodeRData(typ Type, msg []byte, off, rdlen int) (RData, error) {
 		}
 		return AAAA{Addr: netip.AddrFrom16([16]byte(msg[off:end]))}, nil
 	case TypeNS:
-		n, _, err := decodeName(msg, off)
+		n, _, err := decodeName(msg, off, names)
 		return NS{Host: n}, err
 	case TypeCNAME:
-		n, _, err := decodeName(msg, off)
+		n, _, err := decodeName(msg, off, names)
 		return CNAME{Target: n}, err
 	case TypePTR:
-		n, _, err := decodeName(msg, off)
+		n, _, err := decodeName(msg, off, names)
 		return PTR{Target: n}, err
 	case TypeMX:
 		if rdlen < 3 {
 			return nil, fmt.Errorf("dnswire: MX rdata length %d", rdlen)
 		}
 		pref := binary.BigEndian.Uint16(msg[off:])
-		n, _, err := decodeName(msg, off+2)
+		n, _, err := decodeName(msg, off+2, names)
 		return MX{Preference: pref, Host: n}, err
 	case TypeSOA:
-		mname, next, err := decodeName(msg, off)
+		mname, next, err := decodeName(msg, off, names)
 		if err != nil {
 			return nil, err
 		}
-		rname, next, err := decodeName(msg, next)
+		rname, next, err := decodeName(msg, next, names)
 		if err != nil {
 			return nil, err
 		}

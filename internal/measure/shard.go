@@ -665,6 +665,7 @@ func runOneShard(ctx context.Context, cfg RunConfig, pl *runPlan, sched *faults.
 		net.SetFaults(inj)
 	}
 
+	var packer lanePacker
 	type probeRuntime struct {
 		planned *plannedProbe
 		probe   atlas.Probe
@@ -736,7 +737,7 @@ func runOneShard(ctx context.Context, cfg RunConfig, pl *runPlan, sched *faults.
 			}
 			id := uint16(seq)
 			q := dnswire.NewQuery(id, qname, dnswire.TypeTXT)
-			wire, err := q.Pack()
+			wire, err := packer.pack(q)
 			if err != nil {
 				return
 			}
@@ -764,7 +765,7 @@ func runOneShard(ctx context.Context, cfg RunConfig, pl *runPlan, sched *faults.
 		sim.Schedule(phase, tick)
 
 		if atkPlan != nil {
-			scheduleAttackBots(sim, cfg, pl, atkPlan, tracker, host, ap.probe)
+			scheduleAttackBots(sim, cfg, pl, atkPlan, tracker, &packer, host, ap.probe)
 		}
 	}
 
@@ -804,7 +805,7 @@ func runOneShard(ctx context.Context, cfg RunConfig, pl *runPlan, sched *faults.
 				phase := atkPlan.Phase(attacks.KindReflect, i, raddr.String(), e.Interval)
 				scheduleBotTicks(sim, cfg, e.Start, e.End, e.Interval, phase, func(seq int) {
 					q := dnswire.NewQuery(attackQueryID(seq), qname, dnswire.TypeTXT)
-					wire, err := q.Pack()
+					wire, err := packer.pack(q)
 					if err != nil {
 						return
 					}
@@ -841,6 +842,19 @@ func runOneShard(ctx context.Context, cfg RunConfig, pl *runPlan, sched *faults.
 	return lr, em.count, nil
 }
 
+// lanePacker packs every query a lane's probes and bots send into one
+// reused buffer: a lane runs on one goroutine, and netsim copies each
+// payload it sends.
+type lanePacker []byte
+
+func (p *lanePacker) pack(m *dnswire.Message) ([]byte, error) {
+	wire, err := m.AppendPack((*p)[:0])
+	if err == nil {
+		*p = wire
+	}
+	return wire, err
+}
+
 // attackQueryID maps an attack-tick sequence number into the upper
 // half of the DNS ID space. Probe measurement queries use IDs equal to
 // their (small) sequence numbers, so attack replies arriving at a
@@ -870,7 +884,7 @@ func scheduleBotTicks(sim *netsim.Simulator, cfg RunConfig, start, end, interval
 // RNG) with high-half query IDs; replies fall through the probe's
 // pending lookup and are discarded, so bot traffic never perturbs the
 // probe's own measurement records.
-func scheduleAttackBots(sim *netsim.Simulator, cfg RunConfig, pl *runPlan, atkPlan *attacks.Plan, tracker *attacks.Tracker, host *netsim.Host, probe atlas.Probe) {
+func scheduleAttackBots(sim *netsim.Simulator, cfg RunConfig, pl *runPlan, atkPlan *attacks.Plan, tracker *attacks.Tracker, packer *lanePacker, host *netsim.Host, probe atlas.Probe) {
 	ridx := probe.Resolvers[0]
 	raddr := pl.publicAddr
 	if !atlas.PublicMarker(ridx) {
@@ -882,7 +896,7 @@ func scheduleAttackBots(sim *netsim.Simulator, cfg RunConfig, pl *runPlan, atkPl
 	entity := "p" + strconv.Itoa(probe.ID)
 	send := func(kind string, idx int, qname dnswire.Name, typ dnswire.Type, seq int) {
 		q := dnswire.NewQuery(attackQueryID(seq), qname, typ)
-		wire, err := q.Pack()
+		wire, err := packer.pack(q)
 		if err != nil {
 			return
 		}

@@ -47,7 +47,9 @@ func (h *Host) Handle(fn PacketHandler) { h.handler = fn }
 
 // Send transmits payload from this host to dst after the simulated
 // one-way delay; dst may be a unicast host or an anycast service
-// address. Lost packets are silently dropped, like UDP.
+// address. Lost packets are silently dropped, like UDP. Send (like
+// SendAs and SendSpoofed) copies payload and does not retain it after
+// it returns, so callers may reuse one packing buffer for every send.
 func (h *Host) Send(dst netip.Addr, payload []byte) {
 	h.net.send(h, h.Addr, dst, payload)
 }

@@ -9,7 +9,7 @@ import (
 
 // cacheKey identifies a cached RRset.
 type cacheKey struct {
-	name  string // canonical owner
+	name  string // owner's canonical wire key (dnswire.Name.WireKey)
 	typ   dnswire.Type
 	class dnswire.Class
 }
@@ -50,7 +50,7 @@ func NewRecordCache() *RecordCache {
 func (c *RecordCache) Get(name dnswire.Name, typ dnswire.Type, class dnswire.Class, now time.Duration) (dnswire.RCode, []dnswire.RR, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := cacheKey{name.Key(), typ, class}
+	key := cacheKey{name.WireKey(), typ, class}
 	e, ok := c.entries[key]
 	if !ok || now >= e.expires {
 		if ok {
@@ -84,7 +84,7 @@ func (c *RecordCache) PutPositive(name dnswire.Name, typ dnswire.Type, class dns
 			minTTL = rr.TTL
 		}
 	}
-	c.put(cacheKey{name.Key(), typ, class}, cacheEntry{
+	c.put(cacheKey{name.WireKey(), typ, class}, cacheEntry{
 		rcode:   dnswire.RCodeNoError,
 		answers: append([]dnswire.RR(nil), answers...),
 		expires: now + time.Duration(minTTL)*time.Second,
@@ -94,7 +94,7 @@ func (c *RecordCache) PutPositive(name dnswire.Name, typ dnswire.Type, class dns
 // PutNegative caches an NXDOMAIN or NODATA for negTTL seconds (the SOA
 // minimum per RFC 2308).
 func (c *RecordCache) PutNegative(name dnswire.Name, typ dnswire.Type, class dnswire.Class, rcode dnswire.RCode, negTTL uint32, now time.Duration) {
-	c.put(cacheKey{name.Key(), typ, class}, cacheEntry{
+	c.put(cacheKey{name.WireKey(), typ, class}, cacheEntry{
 		rcode:    rcode,
 		negative: true,
 		expires:  now + time.Duration(negTTL)*time.Second,

@@ -15,6 +15,10 @@ import (
 // into the engine via HandlePacket by whichever loop owns the socket
 // or simulated host.
 type Transport interface {
+	// Send must not retain payload after it returns: the engine packs
+	// every message into one reused buffer. Implementations copy what
+	// they keep (netsim.Host.Send) or write it out synchronously
+	// (UDPServer).
 	Send(dst netip.Addr, payload []byte)
 }
 
@@ -203,6 +207,9 @@ type Engine struct {
 	// not retain the candidate slice.
 	idxA, idxB []int32
 	selScratch []netip.Addr
+	// wire is the packing buffer for every outgoing message, reused
+	// under mu. Safe because Transport.Send does not retain payload.
+	wire []byte
 }
 
 // pendingQuery is an in-flight upstream transaction.
@@ -235,7 +242,7 @@ type pendingQuery struct {
 	root    *pendingQuery   // non-nil on chase children
 	kids    int             // outstanding children (root only)
 	fetches int             // NS-target fetches charged (root only)
-	fetched map[string]bool // NS targets already handled (root only)
+	fetched map[string]bool // NS target WireKeys already handled (root only)
 
 	// Singleflight bookkeeping: a leader replies to every coalesced
 	// follower when it completes.
@@ -252,7 +259,7 @@ type pendingQuery struct {
 
 // sfKey identifies a client question for singleflight coalescing.
 type sfKey struct {
-	name  string
+	name  string // dnswire.Name.WireKey
 	qtype dnswire.Type
 	class dnswire.Class
 }
@@ -434,7 +441,7 @@ func (e *Engine) handleClientQuery(client netip.Addr, q *dnswire.Message) {
 		return
 	}
 	if e.cfg.Singleflight {
-		key := sfKey{question.Name.Key(), question.Type, question.Class}
+		key := sfKey{question.Name.WireKey(), question.Type, question.Class}
 		if leader, ok := e.sf[key]; ok && !leader.done {
 			// Identical question already in flight: wait for its answer
 			// instead of spending another upstream transaction.
@@ -454,7 +461,7 @@ func (e *Engine) handleClientQuery(client netip.Addr, q *dnswire.Message) {
 	}
 	if e.cfg.Singleflight {
 		pq.sfLeader = true
-		pq.sfKey = sfKey{question.Name.Key(), question.Type, question.Class}
+		pq.sfKey = sfKey{question.Name.WireKey(), question.Type, question.Class}
 		e.sf[pq.sfKey] = pq
 		e.stats.SingleflightLeaders++
 		e.m.sfLeaders.Inc()
@@ -544,12 +551,13 @@ func (e *Engine) sendUpstreamLocked(pq *pendingQuery) {
 	upq := dnswire.NewQuery(id, upQ.Name, upQ.Type)
 	upq.RecursionDesired = false
 	upq.SetEDNS0(dnswire.DefaultEDNSSize, false)
-	wire, err := upq.Pack()
+	wire, err := upq.AppendPack(e.wire[:0])
 	if err != nil {
 		delete(e.pending, id)
 		e.failLocked(pq)
 		return
 	}
+	e.wire = wire
 	e.stats.UpstreamQueries++
 	e.m.upstream.Inc()
 	e.cfg.Infra.NoteQueryID(pq.upstreamID)
@@ -770,7 +778,7 @@ func (e *Engine) chaseReferralLocked(pq *pendingQuery, resp *dnswire.Message, no
 		if !ok {
 			continue
 		}
-		key := ns.Host.Key()
+		key := ns.Host.WireKey()
 		if root.fetched[key] {
 			continue
 		}
@@ -889,11 +897,7 @@ func (e *Engine) replyAnswer(client netip.Addr, q *dnswire.Message, rcode dnswir
 	resp.RecursionAvailable = true
 	resp.RCode = rcode
 	resp.Answers = answers
-	wire, err := resp.Pack()
-	if err != nil {
-		return
-	}
-	e.cfg.Transport.Send(client, wire)
+	e.sendLocked(client, resp)
 }
 
 func (e *Engine) replyRCode(client netip.Addr, q *dnswire.Message, rcode dnswire.RCode) {
@@ -907,8 +911,7 @@ func (e *Engine) replyChaos(client netip.Addr, q *dnswire.Message, question dnsw
 		return
 	}
 	resp.RecursionAvailable = true
-	name := question.Name.Key()
-	if question.Type == dnswire.TypeTXT && (name == "hostname.bind." || name == "id.server.") {
+	if question.Type == dnswire.TypeTXT && dnswire.IsIdentityName(question.Name) {
 		resp.Answers = []dnswire.RR{{
 			Name:  question.Name,
 			Class: dnswire.ClassCHAOS,
@@ -918,9 +921,16 @@ func (e *Engine) replyChaos(client netip.Addr, q *dnswire.Message, question dnsw
 	} else {
 		resp.RCode = dnswire.RCodeRefused
 	}
-	wire, err := resp.Pack()
+	e.sendLocked(client, resp)
+}
+
+// sendLocked packs m into the engine's reused buffer and sends it.
+// Callers hold e.mu.
+func (e *Engine) sendLocked(dst netip.Addr, m *dnswire.Message) {
+	wire, err := m.AppendPack(e.wire[:0])
 	if err != nil {
 		return
 	}
-	e.cfg.Transport.Send(client, wire)
+	e.wire = wire
+	e.cfg.Transport.Send(dst, wire)
 }

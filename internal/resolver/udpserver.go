@@ -58,7 +58,8 @@ func (s *UDPServer) Route(addr netip.Addr, port uint16) {
 }
 
 // Send implements Transport: it resolves the destination port from the
-// route table, then from remembered client ports, then port 53.
+// route table, then from remembered client ports, then port 53. The
+// write is synchronous, so payload is not retained.
 func (s *UDPServer) Send(dst netip.Addr, payload []byte) {
 	s.mu.Lock()
 	port, ok := s.routes[dst]

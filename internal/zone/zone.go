@@ -26,17 +26,26 @@ var (
 
 // Zone is an authoritative zone: an origin plus RRsets.
 type Zone struct {
-	origin dnswire.Name
-	soa    *dnswire.RR
-	// nodes maps canonical owner name -> type -> RRset.
+	origin    dnswire.Name
+	originKey string
+	soa       *dnswire.RR
+	// soaSet is the SOA as a one-record answer and negSOA the same
+	// record with the RFC 2308 negative TTL, both built once when the
+	// SOA is added. Lookups hand these and the apex NS set out as
+	// shared slices capped at their length, so a caller that appends
+	// gets a copy and no caller can grow into the zone's storage.
+	soaSet, negSOA []dnswire.RR
+	// nodes maps an owner's canonical wire key (dnswire.Name.WireKey)
+	// -> type -> RRset.
 	nodes map[string]map[dnswire.Type][]dnswire.RR
 }
 
 // New creates an empty zone for origin.
 func New(origin dnswire.Name) *Zone {
 	return &Zone{
-		origin: origin,
-		nodes:  make(map[string]map[dnswire.Type][]dnswire.RR),
+		origin:    origin,
+		originKey: origin.WireKey(),
+		nodes:     make(map[string]map[dnswire.Type][]dnswire.RR),
 	}
 }
 
@@ -64,11 +73,16 @@ func (z *Zone) Add(rr dnswire.RR) error {
 		if !rr.Name.Equal(z.origin) {
 			return fmt.Errorf("zone: SOA owner %s is not the apex %s", rr.Name, z.origin)
 		}
-		soa := rr
-		z.soa = &soa
+		z.soaSet = []dnswire.RR{rr}
+		z.soa = &z.soaSet[0]
+		neg := rr
+		if data, ok := neg.Data.(dnswire.SOA); ok && data.Minimum < neg.TTL {
+			neg.TTL = data.Minimum
+		}
+		z.negSOA = []dnswire.RR{neg}
 		return nil
 	}
-	key := rr.Name.Key()
+	key := rr.Name.WireKey()
 	byType := z.nodes[key]
 	if byType == nil {
 		byType = make(map[dnswire.Type][]dnswire.RR)
@@ -154,12 +168,13 @@ func (z *Zone) Lookup(qname dnswire.Name, qtype dnswire.Type) Result {
 	}
 	if qtype == dnswire.TypeSOA && qname.Equal(z.origin) {
 		if z.soa != nil {
-			return Result{Kind: Success, Records: []dnswire.RR{*z.soa}, Authority: z.apexNS()}
+			return Result{Kind: Success, Records: z.soaSet, Authority: z.apexNS()}
 		}
 		return Result{Kind: NoData, Authority: z.negativeAuthority()}
 	}
 
-	byType, exists := z.nodes[qname.Key()]
+	key := qname.WireKey()
+	byType, exists := z.nodes[key]
 	if exists {
 		if rrs := z.answer(byType, qname, qtype, false); rrs != nil {
 			return Result{Kind: Success, Records: rrs, Authority: z.apexNS()}
@@ -167,22 +182,20 @@ func (z *Zone) Lookup(qname dnswire.Name, qtype dnswire.Type) Result {
 		return Result{Kind: NoData, Authority: z.negativeAuthority()}
 	}
 	// Wildcard search: climb from the qname's parent to the apex
-	// looking for *.<ancestor>.
-	anc := qname.Parent()
-	for {
-		wc, err := anc.Child("*")
-		if err == nil {
-			if byType, ok := z.nodes[wc.Key()]; ok {
-				if rrs := z.answer(byType, qname, qtype, true); rrs != nil {
-					return Result{Kind: Success, Records: rrs, Authority: z.apexNS(), Wildcard: true}
-				}
-				return Result{Kind: NoData, Authority: z.negativeAuthority(), Wildcard: true}
+	// looking for *.<ancestor>. Each probe key is "\x01*" plus an
+	// ancestor's suffix of the qname key, built in a stack buffer.
+	var wc [2 + 255]byte
+	wc[0], wc[1] = 1, '*'
+	stop := len(key) - len(z.originKey)
+	for off := 0; off < stop; {
+		off += 1 + int(key[off])
+		n := copy(wc[2:], key[off:])
+		if byType, ok := z.nodes[string(wc[:2+n])]; ok {
+			if rrs := z.answer(byType, qname, qtype, true); rrs != nil {
+				return Result{Kind: Success, Records: rrs, Authority: z.apexNS(), Wildcard: true}
 			}
+			return Result{Kind: NoData, Authority: z.negativeAuthority(), Wildcard: true}
 		}
-		if anc.Equal(z.origin) || anc.IsRoot() {
-			break
-		}
-		anc = anc.Parent()
 	}
 	// The apex itself exists implicitly if it has an SOA.
 	if qname.Equal(z.origin) && z.soa != nil {
@@ -192,15 +205,17 @@ func (z *Zone) Lookup(qname dnswire.Name, qtype dnswire.Type) Result {
 }
 
 // answer extracts the RRset for qtype from a node, rewriting owners
-// for wildcard synthesis and following one CNAME step.
+// for wildcard synthesis and following one CNAME step. An exact match
+// shares the zone's RRset, capped at its length.
 func (z *Zone) answer(byType map[dnswire.Type][]dnswire.RR, qname dnswire.Name, qtype dnswire.Type, wildcard bool) []dnswire.RR {
 	rewrite := func(rrs []dnswire.RR) []dnswire.RR {
+		if !wildcard {
+			return rrs[:len(rrs):len(rrs)]
+		}
 		out := make([]dnswire.RR, len(rrs))
 		copy(out, rrs)
-		if wildcard {
-			for i := range out {
-				out[i].Name = qname
-			}
+		for i := range out {
+			out[i].Name = qname
 		}
 		return out
 	}
@@ -232,28 +247,13 @@ func (z *Zone) answer(byType map[dnswire.Type][]dnswire.RR, qname dnswire.Name, 
 
 // apexNS returns the zone's NS RRset for the authority section.
 func (z *Zone) apexNS() []dnswire.RR {
-	byType, ok := z.nodes[z.origin.Key()]
-	if !ok {
-		return nil
-	}
-	rrs := byType[dnswire.TypeNS]
-	out := make([]dnswire.RR, len(rrs))
-	copy(out, rrs)
-	return out
+	rrs := z.nodes[z.originKey][dnswire.TypeNS]
+	return rrs[:len(rrs):len(rrs)]
 }
 
 // negativeAuthority returns the SOA for NXDOMAIN/NODATA responses,
 // with its TTL clamped to the SOA minimum (RFC 2308 negative TTL).
-func (z *Zone) negativeAuthority() []dnswire.RR {
-	if z.soa == nil {
-		return nil
-	}
-	soa := *z.soa
-	if data, ok := soa.Data.(dnswire.SOA); ok && data.Minimum < soa.TTL {
-		soa.TTL = data.Minimum
-	}
-	return []dnswire.RR{soa}
-}
+func (z *Zone) negativeAuthority() []dnswire.RR { return z.negSOA }
 
 // Records returns every record in the zone with the SOA first and the
 // rest in sorted owner/type order — the order a zone transfer emits.
@@ -262,21 +262,8 @@ func (z *Zone) Records() []dnswire.RR {
 	if z.soa != nil {
 		out = append(out, *z.soa)
 	}
-	keys := make([]string, 0, len(z.nodes))
-	for k := range z.nodes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		byType := z.nodes[k]
-		types := make([]int, 0, len(byType))
-		for t := range byType {
-			types = append(types, int(t))
-		}
-		sort.Ints(types)
-		for _, t := range types {
-			out = append(out, byType[dnswire.Type(t)]...)
-		}
+	for _, set := range z.sortedRRsets() {
+		out = append(out, set...)
 	}
 	return out
 }
@@ -289,23 +276,42 @@ func (z *Zone) String() string {
 	if z.soa != nil {
 		fmt.Fprintln(&sb, z.soa.String())
 	}
-	keys := make([]string, 0, len(z.nodes))
-	for k := range z.nodes {
-		keys = append(keys, k)
+	for _, set := range z.sortedRRsets() {
+		for _, rr := range set {
+			fmt.Fprintln(&sb, rr.String())
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		byType := z.nodes[k]
-		types := make([]int, 0, len(byType))
-		for t := range byType {
+	return sb.String()
+}
+
+// sortedRRsets returns the RRsets ordered by owner, then type. Owners
+// sort by their lowercase presentation form (Name.Key), not by the
+// wire keys the nodes are stored under: the two orders differ (for
+// "a-b.x." against "a.b.x." the dot sorts after '-' in presentation
+// form, while in wire form the first label's length decides).
+func (z *Zone) sortedRRsets() [][]dnswire.RR {
+	type owner struct {
+		pres   string
+		byType map[dnswire.Type][]dnswire.RR
+	}
+	owners := make([]owner, 0, len(z.nodes))
+	for _, byType := range z.nodes {
+		for _, set := range byType {
+			owners = append(owners, owner{set[0].Name.Key(), byType})
+			break
+		}
+	}
+	sort.Slice(owners, func(i, j int) bool { return owners[i].pres < owners[j].pres })
+	var sets [][]dnswire.RR
+	for _, o := range owners {
+		types := make([]int, 0, len(o.byType))
+		for t := range o.byType {
 			types = append(types, int(t))
 		}
 		sort.Ints(types)
 		for _, t := range types {
-			for _, rr := range byType[dnswire.Type(t)] {
-				fmt.Fprintln(&sb, rr.String())
-			}
+			sets = append(sets, o.byType[dnswire.Type(t)])
 		}
 	}
-	return sb.String()
+	return sets
 }

@@ -209,3 +209,81 @@ func TestSOAAccessor(t *testing.T) {
 		t.Errorf("SOA lookup in SOA-less zone = %+v", res)
 	}
 }
+
+// TestOwnerOrderIsPresentation pins the zone-transfer and String order
+// to owners sorted by lowercase presentation form, not by the wire keys
+// the nodes are stored under: "a-b.x." sorts before "a.b.x." as text
+// ('-' < '.'), but after it in wire form (length 3 > length 1).
+func TestOwnerOrderIsPresentation(t *testing.T) {
+	origin := dnswire.MustParseName("x")
+	z := New(origin)
+	for _, owner := range []string{"a.b.x", "A-b.x", "b.x", "x"} {
+		z.MustAdd(dnswire.RR{Name: dnswire.MustParseName(owner), Class: dnswire.ClassINET, TTL: 60,
+			Data: dnswire.TXT{Strings: []string{owner}}})
+	}
+	var got []string
+	for _, rr := range z.Records() {
+		got = append(got, rr.Name.String())
+	}
+	want := []string{"A-b.x.", "a.b.x.", "b.x.", "x."}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("Records owners = %q, want %q", got, want)
+	}
+	s := z.String()
+	if i, j := strings.Index(s, "A-b.x."), strings.Index(s, "a.b.x."); i < 0 || j < 0 || i > j {
+		t.Errorf("String order wrong:\n%s", s)
+	}
+}
+
+// TestLookupMixedCase checks that lookups fold ASCII case on exact,
+// wildcard and apex matches, and that a wildcard answer carries the
+// query's own spelling.
+func TestLookupMixedCase(t *testing.T) {
+	z := testZone(t)
+	if res := z.Lookup(dnswire.MustParseName("NS1.OurTestDomain.NL"), dnswire.TypeA); res.Kind != Success || res.Wildcard {
+		t.Errorf("exact mixed-case lookup = %+v", res)
+	}
+	qname := dnswire.MustParseName("Probe-7.OURTESTDOMAIN.nl")
+	res := z.Lookup(qname, dnswire.TypeTXT)
+	if res.Kind != Success || !res.Wildcard || res.Records[0].Name.String() != "Probe-7.OURTESTDOMAIN.nl." {
+		t.Errorf("wildcard mixed-case lookup = %+v", res)
+	}
+	if res := z.Lookup(dnswire.MustParseName("OURTESTDOMAIN.NL"), dnswire.TypeNS); res.Kind != Success || len(res.Records) != 2 {
+		t.Errorf("apex mixed-case lookup = %+v", res)
+	}
+}
+
+// TestSharedRRsetsAreCapped checks that the RRsets a lookup shares
+// with the zone are capped at their length, so a caller that appends
+// (addGlue, a resolver merging sections) copies instead of writing
+// into the zone's spare capacity.
+func TestSharedRRsetsAreCapped(t *testing.T) {
+	z := testZone(t)
+	// Grow the apex NS set to three so its backing array has spare
+	// capacity behind it.
+	z.MustAdd(dnswire.RR{Name: z.Origin(), Class: dnswire.ClassINET, TTL: 3600,
+		Data: dnswire.NS{Host: dnswire.MustParseName("ns3.ourtestdomain.nl")}})
+	for _, q := range []struct {
+		name string
+		typ  dnswire.Type
+	}{
+		{"ns1.ourtestdomain.nl", dnswire.TypeA},
+		{"ourtestdomain.nl", dnswire.TypeNS},
+		{"ourtestdomain.nl", dnswire.TypeSOA},
+		{"nope.other.nl", dnswire.TypeA},
+		{"ns1.ourtestdomain.nl", dnswire.TypeMX},
+	} {
+		res := z.Lookup(dnswire.MustParseName(q.name), q.typ)
+		if cap(res.Records) != len(res.Records) || cap(res.Authority) != len(res.Authority) {
+			t.Errorf("%s %s: records len/cap %d/%d, authority %d/%d", q.name, q.typ,
+				len(res.Records), cap(res.Records), len(res.Authority), cap(res.Authority))
+		}
+	}
+	neg := z.Lookup(dnswire.MustParseName("nope.ourtestdomain.nl"), dnswire.TypeA)
+	if neg.Kind != NoData || neg.Authority[0].TTL != 300 {
+		t.Errorf("negative SOA = %+v, want TTL clamped to the 300 s minimum", neg)
+	}
+	if soa, _ := z.SOA(); soa.TTL != 3600 {
+		t.Errorf("zone SOA TTL = %d after a negative lookup", soa.TTL)
+	}
+}
