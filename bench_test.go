@@ -20,6 +20,7 @@ import (
 	"ritw/internal/atlas"
 	"ritw/internal/core"
 	"ritw/internal/ditl"
+	"ritw/internal/faults"
 	"ritw/internal/geo"
 	"ritw/internal/measure"
 	"ritw/internal/resolver"
@@ -414,15 +415,17 @@ func BenchmarkAblationOutage(b *testing.B) {
 		pc := atlas.DefaultConfig(benchSeed)
 		pc.NumProbes = 600
 		cfg.Population = pc
-		start, end := 20*time.Minute, 40*time.Minute
-		cfg.Outage = &measure.Outage{Site: "FRA", Start: start, End: end}
-		ds, err := measure.Run(cfg)
-		if err != nil {
+		sched := &faults.Schedule{
+			Outages: []faults.Outage{{Site: "FRA", Start: 20 * time.Minute, End: 40 * time.Minute}},
+		}
+		cfg.Faults = sched
+		agg := analysis.NewFaultAggregator(analysis.WindowsFromSchedule(sched), 0, 0)
+		if _, err := measure.RunStream(cfg, agg); err != nil {
 			b.Fatal(err)
 		}
-		impact := analysis.OutageImpactOf(ds, "FRA", start, end)
-		duringFail = impact.During.FailRate
-		duringShare = impact.During.SiteShare
+		during := agg.Impacts()[0].During
+		duringFail = during.FailRate
+		duringShare = during.SiteShare["FRA"]
 	}
 	b.ReportMetric(100*duringFail, "%fail-during-outage")
 	b.ReportMetric(100*duringShare, "%failed-site-share")

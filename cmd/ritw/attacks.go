@@ -60,18 +60,15 @@ func cmdAttacks(ctx context.Context, scale core.Scale) error {
 		byName[sc.Name] = sc
 	}
 
-	opts := batchOpts(scale)
 	var mu sync.Mutex
 	aggs := make(map[string]*analysis.FaultAggregator, len(scenarios))
-	if streaming() {
-		opts = append(opts, core.WithSink(func(key string) measure.Sink {
-			agg := analysis.NewFaultAggregator(attackWindows(byName[key]), sketchCap(), *seed)
-			mu.Lock()
-			aggs[key] = agg
-			mu.Unlock()
-			return agg
-		}), core.WithStreamOnly(true))
-	}
+	opts := append(batchOpts(scale), core.WithSink(func(key string) measure.Sink {
+		agg := analysis.NewFaultAggregator(attackWindows(byName[key]), sketchCap(), *seed)
+		mu.Lock()
+		aggs[key] = agg
+		mu.Unlock()
+		return agg
+	}), core.WithStreamOnly(true))
 	dss, err := core.RunScenariosContext(ctx, scenarios, opts...)
 	if err != nil {
 		return err
@@ -90,13 +87,7 @@ func cmdAttacks(ctx context.Context, scale core.Scale) error {
 		for _, line := range analysis.FormatAttackReport(ds.Attacks) {
 			fmt.Println(line)
 		}
-		var impacts []analysis.FaultImpact
-		if agg := aggs[sc.Name]; agg != nil {
-			impacts = agg.Impacts()
-		} else {
-			impacts = analysis.FaultImpacts(ds, attackWindows(sc))
-		}
-		for _, fi := range impacts {
+		for _, fi := range aggs[sc.Name].Impacts() {
 			for _, line := range analysis.FormatImpact(fi, ds.Sites) {
 				fmt.Println(line)
 			}

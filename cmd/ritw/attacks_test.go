@@ -2,19 +2,16 @@ package main
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"ritw/internal/attacks"
 	"ritw/internal/core"
-	"ritw/internal/netsim"
 )
 
 // TestGoldenAttacks pins the exact text of the preset defense-matrix
-// battery at a fixed seed in stream mode against a checked-in golden:
+// battery at a fixed seed against a checked-in golden:
 // the campaign schedules, the attack ledgers (bots, packets,
 // amplification factors), and the benign collateral impact tables.
 // Any drift in attack traffic generation, the MaxFetch budget, or the
@@ -24,7 +21,7 @@ func TestGoldenAttacks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the attack battery")
 	}
-	runAttackGolden(t, 0, 0, netsim.SchedHeap, *updateGolden)
+	runAttackGolden(t, 0, 0, *updateGolden)
 }
 
 // TestGoldenAttacksSharded replays the battery split across simulation
@@ -37,7 +34,7 @@ func TestGoldenAttacksSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the attack battery")
 	}
-	runAttackGolden(t, crosscheckShards(t, 4), 0, crosscheckSched(t, netsim.SchedHeap), false)
+	runAttackGolden(t, crosscheckShards(t, 4), 0, false)
 }
 
 // TestGoldenAttacksWorkers replays the battery with every run's lanes
@@ -55,47 +52,19 @@ func TestGoldenAttacksWorkers(t *testing.T) {
 	if shards < workers {
 		shards = workers
 	}
-	runAttackGolden(t, shards, workers, crosscheckSched(t, netsim.SchedHeap), false)
+	runAttackGolden(t, shards, workers, false)
 }
 
 // runAttackGolden executes the preset battery at the pinned seed and
 // compares (or rewrites) the golden. shards=0 runs the single
 // sequential lane that defines the golden bytes.
-func runAttackGolden(t *testing.T, shards, workers int, kind netsim.SchedulerKind, update bool) {
+func runAttackGolden(t *testing.T, shards, workers int, update bool) {
 	t.Helper()
-	oldSeed, oldProbes, oldStream, oldMaxMem := *seed, *probesFlag, *stream, *maxMem
-	oldPlot, oldOut, oldParallel, oldShards := *plotDir, *outFile, *parallel, *shardsFlag
-	oldSched, oldWorkers := schedKind, *workersFlag
-	defer func() {
-		*seed, *probesFlag, *stream, *maxMem = oldSeed, oldProbes, oldStream, oldMaxMem
-		*plotDir, *outFile, *parallel, *shardsFlag = oldPlot, oldOut, oldParallel, oldShards
-		schedKind, *workersFlag = oldSched, oldWorkers
-	}()
-	*seed, *probesFlag, *stream, *maxMem = 7, 150, true, 0
-	*plotDir, *outFile, *parallel, *shardsFlag = "", "", 4, shards
-	schedKind, *workersFlag = kind, workers
-
+	pinGoldenFlags(t, shards, workers)
 	got := captureStdout(t, func() error {
 		return cmdAttacks(context.Background(), core.ScaleSmall)
 	})
-	path := filepath.Join("testdata", "golden", "attacks.txt")
-	if update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("attacks (shards=%d workers=%d) output drifted from %s\n--- got ---\n%s--- want ---\n%s",
-			shards, workers, path, got, want)
-	}
+	checkGolden(t, "attacks", got, shards, workers, update)
 }
 
 // TestParseAttackSpec covers the -attack DSL: every kind parses into

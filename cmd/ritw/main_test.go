@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ritw/internal/atlas"
 	"ritw/internal/core"
 	"ritw/internal/measure"
 )
@@ -110,19 +111,14 @@ func TestSpillSnapshotResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the table-1 batch twice")
 	}
-	oldSeed, oldProbes, oldStream, oldMaxMem := *seed, *probesFlag, *stream, *maxMem
-	oldPlot, oldOut, oldParallel, oldCombo := *plotDir, *outFile, *parallel, *comboID
-	oldEvery, oldDir, oldResume := *snapEvery, *snapDir, *resumeFlag
-	defer func() {
-		*seed, *probesFlag, *stream, *maxMem = oldSeed, oldProbes, oldStream, oldMaxMem
-		*plotDir, *outFile, *parallel, *comboID = oldPlot, oldOut, oldParallel, oldCombo
-		*snapEvery, *snapDir, *resumeFlag = oldEvery, oldDir, oldResume
-		table1Cache = nil
-	}()
+	pinGoldenFlags(t, 0, 0)
+	oldCombo, oldEvery, oldDir, oldResume := *comboID, *snapEvery, *snapDir, *resumeFlag
+	t.Cleanup(func() {
+		*comboID, *snapEvery, *snapDir, *resumeFlag = oldCombo, oldEvery, oldDir, oldResume
+	})
 	dir := t.TempDir()
 	out := filepath.Join(dir, "spill.csv")
-	*seed, *probesFlag, *stream, *maxMem = 7, 120, true, 0
-	*plotDir, *outFile, *parallel, *comboID = "", out, 4, "2A"
+	*probesFlag, *outFile, *comboID = 120, out, "2A"
 	*snapEvery, *snapDir, *resumeFlag = 10*time.Minute, dir, false
 
 	table1Cache = nil
@@ -188,50 +184,49 @@ func captureStdout(t *testing.T, fn func() error) string {
 	return out
 }
 
-// TestStreamOutputMatchesMaterialized is the refactor's contract: at
-// the same seed, every figure and table command prints byte-identical
-// output whether records are materialized into datasets or streamed
-// into incremental aggregators (-stream, exact mode).
-func TestStreamOutputMatchesMaterialized(t *testing.T) {
+// TestSpillMatchesMaterializedCSV pins -out: the CSV a Table-1
+// command spills while streaming is byte-identical to materializing
+// the same run with measure.RunContext and writing Dataset.WriteCSV,
+// sequentially and across shards.
+func TestSpillMatchesMaterializedCSV(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the figure suite twice")
+		t.Skip("runs the table-1 batch twice")
 	}
-	oldSeed, oldProbes, oldStream, oldMaxMem := *seed, *probesFlag, *stream, *maxMem
-	oldPlot, oldOut, oldParallel := *plotDir, *outFile, *parallel
-	defer func() {
-		*seed, *probesFlag, *stream, *maxMem = oldSeed, oldProbes, oldStream, oldMaxMem
-		*plotDir, *outFile, *parallel = oldPlot, oldOut, oldParallel
-		table1Cache = nil
-	}()
-	*seed, *probesFlag, *maxMem = 7, 150, 0
-	*plotDir, *outFile, *parallel = "", "", 4
-
-	cmds := []struct {
-		name string
-		fn   func(context.Context, core.Scale) error
-	}{
-		{"table1", cmdTable1}, {"fig2", cmdFig2}, {"fig3", cmdFig3},
-		{"fig4", cmdFig4}, {"table2", cmdTable2}, {"fig5", cmdFig5},
-		{"fig6", cmdFig6}, {"fig7root", cmdFig7Root}, {"fig7nl", cmdFig7NL},
-		{"middlebox", cmdMiddlebox}, {"ipv6", cmdIPv6}, {"hardening", cmdHardening},
-	}
-	run := func(streamMode bool) map[string]string {
-		*stream = streamMode
-		table1Cache = nil
-		out := make(map[string]string, len(cmds))
-		for _, c := range cmds {
-			out[c.name] = captureStdout(t, func() error {
-				return c.fn(context.Background(), core.ScaleSmall)
-			})
+	// The batch runs combination i of Table 1 at seed+i.
+	var cfg measure.RunConfig
+	for i, combo := range measure.Table1() {
+		if combo.ID == "2A" {
+			cfg = measure.DefaultRunConfig(combo, 7+int64(i))
+			cfg.Population = atlas.DefaultConfig(7 + int64(i))
+			cfg.Population.NumProbes = 120
 		}
-		return out
 	}
-	mat := run(false)
-	str := run(true)
-	for _, c := range cmds {
-		if mat[c.name] != str[c.name] {
-			t.Errorf("%s output differs between modes\nmaterialized:\n%s\nstreaming:\n%s",
-				c.name, mat[c.name], str[c.name])
+	ds, err := measure.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := ds.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.Records) == 0 {
+		t.Fatal("reference run produced no records")
+	}
+
+	oldCombo := *comboID
+	t.Cleanup(func() { *comboID = oldCombo })
+	for _, shards := range []int{0, 3} {
+		pinGoldenFlags(t, shards, 0)
+		out := filepath.Join(t.TempDir(), "spill.csv")
+		*probesFlag, *outFile, *comboID = 120, out, "2A"
+		captureStdout(t, func() error { return cmdTable1(context.Background(), core.ScaleSmall) })
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("shards=%d: -out spill (%d bytes) differs from RunContext+WriteCSV (%d bytes)",
+				shards, len(got), want.Len())
 		}
 	}
 }

@@ -166,82 +166,61 @@ func mixScenarioList() []core.Scenario {
 // the paper's 59-69% / 10-37% bands.
 func cmdMix(ctx context.Context, scale core.Scale) error {
 	scenarios := mixScenarioList()
-	opts := batchOpts(scale)
+	byName := make(map[string]core.Scenario, len(scenarios))
+	for _, sc := range scenarios {
+		byName[sc.Name] = sc
+	}
+	base := batchOpts(scale)
 
-	// assignFor resolves each scenario's VPKey → policy classifier from
-	// the same plan stage the run executes, so the split is exact.
-	assignFor := func(sc core.Scenario) (map[string]string, error) {
-		cfg, err := core.ScenarioRunConfig(sc, opts...)
+	// breakoutFor builds one scenario's per-policy aggregator. Its
+	// VPKey → policy classifier comes from the same plan stage the run
+	// executes, so the split is exact.
+	breakoutFor := func(key string) (*analysis.MixBreakout, error) {
+		cfg, err := core.ScenarioRunConfig(byName[key], base...)
 		if err != nil {
 			return nil, err
 		}
-		return measure.PolicyAssignment(cfg)
-	}
-
-	var mu sync.Mutex
-	breakouts := make(map[string]*analysis.MixBreakout, len(scenarios))
-	if streaming() {
-		byName := make(map[string]core.Scenario, len(scenarios))
-		for _, sc := range scenarios {
-			byName[sc.Name] = sc
-		}
-		var sinkErr error
-		opts = append(opts, core.WithSink(func(key string) measure.Sink {
-			sc := byName[key]
-			assign, err := assignFor(sc)
-			if err != nil {
-				mu.Lock()
-				if sinkErr == nil {
-					sinkErr = err
-				}
-				mu.Unlock()
-				return measure.Discard
-			}
-			cfg, err := core.ScenarioRunConfig(sc, opts...)
-			if err != nil {
-				mu.Lock()
-				if sinkErr == nil {
-					sinkErr = err
-				}
-				mu.Unlock()
-				return measure.Discard
-			}
-			b := analysis.NewMixBreakout(analysis.AggConfig{
-				ComboID:    key,
-				Sites:      cfg.Combo.Sites,
-				Duration:   cfg.Duration,
-				MaxSamples: sketchCap(),
-				Seed:       *seed,
-				Metrics:    metricsReg,
-			}, assign)
-			mu.Lock()
-			breakouts[key] = b
-			mu.Unlock()
-			return b
-		}), core.WithStreamOnly(true))
-		dss, err := core.RunScenariosContext(ctx, scenarios, opts...)
+		assign, err := measure.PolicyAssignment(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if sinkErr != nil {
-			return sinkErr
-		}
-		for i, sc := range scenarios {
-			printMixScenario(sc, dss[i], breakouts[sc.Name])
-		}
-		return nil
+		return analysis.NewMixBreakout(analysis.AggConfig{
+			ComboID:    key,
+			Sites:      cfg.Combo.Sites,
+			Duration:   cfg.Duration,
+			MaxSamples: sketchCap(),
+			Seed:       *seed,
+			Metrics:    metricsReg,
+		}, assign), nil
 	}
 
+	var (
+		mu        sync.Mutex
+		sinkErr   error
+		breakouts = make(map[string]*analysis.MixBreakout, len(scenarios))
+	)
+	opts := append(base, core.WithSink(func(key string) measure.Sink {
+		b, err := breakoutFor(key)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			if sinkErr == nil {
+				sinkErr = err
+			}
+			return measure.Discard
+		}
+		breakouts[key] = b
+		return b
+	}), core.WithStreamOnly(true))
 	dss, err := core.RunScenariosContext(ctx, scenarios, opts...)
 	if err != nil {
 		return err
 	}
+	if sinkErr != nil {
+		return sinkErr
+	}
 	for i, sc := range scenarios {
-		assign, err := assignFor(sc)
-		if err != nil {
-			return err
-		}
-		printMixScenario(sc, dss[i], analysis.BreakoutByPolicy(dss[i], assign))
+		printMixScenario(sc, dss[i], breakouts[sc.Name])
 	}
 	return nil
 }

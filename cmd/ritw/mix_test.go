@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -12,12 +10,11 @@ import (
 	"ritw/internal/atlas"
 	"ritw/internal/core"
 	"ritw/internal/measure"
-	"ritw/internal/netsim"
 	"ritw/internal/resolver"
 )
 
 // TestGoldenMix pins the exact text of the fleet-mix battery at a
-// fixed seed in stream mode against a checked-in golden: the
+// fixed seed against a checked-in golden: the
 // per-policy and mixture Figure-4 preference rows, the paper-band
 // verdicts, and the Table-2 breakouts for every preset (the calibrated
 // paper mixture, the modern secDNS-flavoured fleet, and the
@@ -29,7 +26,7 @@ func TestGoldenMix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the fleet-mix battery")
 	}
-	runMixGolden(t, 0, 0, netsim.SchedHeap, *updateGolden)
+	runMixGolden(t, 0, 0, *updateGolden)
 }
 
 // TestGoldenMixSharded replays the battery split across simulation
@@ -41,7 +38,7 @@ func TestGoldenMixSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the fleet-mix battery")
 	}
-	runMixGolden(t, crosscheckShards(t, 4), 0, crosscheckSched(t, netsim.SchedHeap), false)
+	runMixGolden(t, crosscheckShards(t, 4), 0, false)
 }
 
 // TestGoldenMixWorkers replays the battery with every run's lanes
@@ -59,47 +56,19 @@ func TestGoldenMixWorkers(t *testing.T) {
 	if shards < workers {
 		shards = workers
 	}
-	runMixGolden(t, shards, workers, crosscheckSched(t, netsim.SchedHeap), false)
+	runMixGolden(t, shards, workers, false)
 }
 
 // runMixGolden executes the preset battery at the pinned seed and
 // compares (or rewrites) the golden. shards=0 runs the single
 // sequential lane that defines the golden bytes.
-func runMixGolden(t *testing.T, shards, workers int, kind netsim.SchedulerKind, update bool) {
+func runMixGolden(t *testing.T, shards, workers int, update bool) {
 	t.Helper()
-	oldSeed, oldProbes, oldStream, oldMaxMem := *seed, *probesFlag, *stream, *maxMem
-	oldPlot, oldOut, oldParallel, oldShards := *plotDir, *outFile, *parallel, *shardsFlag
-	oldSched, oldWorkers, oldMix := schedKind, *workersFlag, mixShares
-	defer func() {
-		*seed, *probesFlag, *stream, *maxMem = oldSeed, oldProbes, oldStream, oldMaxMem
-		*plotDir, *outFile, *parallel, *shardsFlag = oldPlot, oldOut, oldParallel, oldShards
-		schedKind, *workersFlag, mixShares = oldSched, oldWorkers, oldMix
-	}()
-	*seed, *probesFlag, *stream, *maxMem = 7, 150, true, 0
-	*plotDir, *outFile, *parallel, *shardsFlag = "", "", 4, shards
-	schedKind, *workersFlag, mixShares = kind, workers, nil
-
+	pinGoldenFlags(t, shards, workers)
 	got := captureStdout(t, func() error {
 		return cmdMix(context.Background(), core.ScaleSmall)
 	})
-	path := filepath.Join("testdata", "golden", "mix.txt")
-	if update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("mix (shards=%d workers=%d) output drifted from %s\n--- got ---\n%s--- want ---\n%s",
-			shards, workers, path, got, want)
-	}
+	checkGolden(t, "mix", got, shards, workers, update)
 }
 
 // TestPaperMixCalibrationInsideBands is the calibration acceptance

@@ -43,8 +43,8 @@ func (f *faultFlag) Set(v string) error {
 // single custom scenario assembled from repeated -fault flags on the
 // -combo deployment. Every scenario runs at the same seed, so the
 // healthy traffic is identical across them and the differences are the
-// faults'. In stream mode the impact analysis consumes records
-// incrementally (exact unless -maxmem caps the sketches).
+// faults'. The impact analysis consumes records incrementally (exact
+// unless -maxmem caps the sketches).
 func cmdScenarios(ctx context.Context, scale core.Scale) error {
 	scenarios, err := scenarioList()
 	if err != nil {
@@ -55,18 +55,15 @@ func cmdScenarios(ctx context.Context, scale core.Scale) error {
 		byName[sc.Name] = sc
 	}
 
-	opts := batchOpts(scale)
 	var mu sync.Mutex
 	aggs := make(map[string]*analysis.FaultAggregator, len(scenarios))
-	if streaming() {
-		opts = append(opts, core.WithSink(func(key string) measure.Sink {
-			agg := analysis.NewFaultAggregator(scenarioWindows(byName[key]), sketchCap(), *seed)
-			mu.Lock()
-			aggs[key] = agg
-			mu.Unlock()
-			return agg
-		}), core.WithStreamOnly(true))
-	}
+	opts := append(batchOpts(scale), core.WithSink(func(key string) measure.Sink {
+		agg := analysis.NewFaultAggregator(scenarioWindows(byName[key]), sketchCap(), *seed)
+		mu.Lock()
+		aggs[key] = agg
+		mu.Unlock()
+		return agg
+	}), core.WithStreamOnly(true))
 	dss, err := core.RunScenariosContext(ctx, scenarios, opts...)
 	if err != nil {
 		return err
@@ -84,13 +81,7 @@ func cmdScenarios(ctx context.Context, scale core.Scale) error {
 		if sc.Backoff != nil && sc.Backoff.Disabled {
 			fmt.Println("   resolver hold-down backoff disabled")
 		}
-		var impacts []analysis.FaultImpact
-		if agg := aggs[sc.Name]; agg != nil {
-			impacts = agg.Impacts()
-		} else {
-			impacts = analysis.FaultImpacts(ds, scenarioWindows(sc))
-		}
-		for _, fi := range impacts {
+		for _, fi := range aggs[sc.Name].Impacts() {
 			for _, line := range analysis.FormatImpact(fi, ds.Sites) {
 				fmt.Println(line)
 			}

@@ -15,6 +15,7 @@ import (
 
 	"ritw/internal/analysis"
 	"ritw/internal/atlas"
+	"ritw/internal/faults"
 	"ritw/internal/measure"
 )
 
@@ -28,18 +29,19 @@ func main() {
 	pc := atlas.DefaultConfig(7)
 	pc.NumProbes = 1200
 	cfg.Population = pc
-	cfg.Outage = &measure.Outage{Site: "FRA", Start: start, End: end}
+	sched := &faults.Schedule{Outages: []faults.Outage{{Site: "FRA", Start: start, End: end}}}
+	cfg.Faults = sched
 
 	fmt.Printf("Running 2B (DUB + FRA) with FRA down from %v to %v...\n\n", start, end)
-	ds, err := measure.Run(cfg)
-	if err != nil {
+	agg := analysis.NewFaultAggregator(analysis.WindowsFromSchedule(sched), 0, 0)
+	if _, err := measure.RunStream(cfg, agg); err != nil {
 		log.Fatal(err)
 	}
 
-	impact := analysis.OutageImpactOf(ds, "FRA", start, end)
+	impact := agg.Impacts()[0]
 	rows := []struct {
 		name string
-		w    analysis.WindowStats
+		p    analysis.PhaseStats
 	}{
 		{"before", impact.Before},
 		{"during", impact.During},
@@ -48,7 +50,7 @@ func main() {
 	fmt.Printf("%-8s %8s %10s %11s %12s\n", "window", "queries", "FRA share", "fail rate", "median RTT")
 	for _, r := range rows {
 		fmt.Printf("%-8s %8d %9.0f%% %10.1f%% %10.0fms\n",
-			r.name, r.w.Queries, 100*r.w.SiteShare, 100*r.w.FailRate, r.w.MedianRTT)
+			r.name, r.p.Queries, 100*r.p.SiteShare["FRA"], 100*r.p.FailRate, r.p.MedianRTT)
 	}
 
 	fmt.Println("\nDuring the outage every answered query comes from Dublin: the")

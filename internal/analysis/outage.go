@@ -10,43 +10,6 @@ import (
 	"ritw/internal/stats"
 )
 
-// WindowStats summarizes client-observed behaviour within a time
-// window of a run.
-type WindowStats struct {
-	// Queries is the number of client queries sent in the window.
-	Queries int
-	// FailRate is the fraction that got no answer (client timeout,
-	// typically after the resolver exhausted its retries).
-	FailRate float64
-	// SiteShare is the failed-site share among answered queries.
-	SiteShare float64
-	// MedianRTT is the median client RTT over answered queries —
-	// failover retries show up here as extra latency.
-	MedianRTT float64
-}
-
-// OutageImpact quantifies a site-failure window (measure.Outage): the
-// failed site's traffic share and the client failure rate before,
-// during and after the outage. The paper's §7 motivates multiple
-// authoritatives and anycast with exactly this resilience argument.
-type OutageImpact struct {
-	Site                  string
-	Before, During, After WindowStats
-}
-
-// OutageImpactOf computes the impact of an outage of site during
-// [start, end) on a dataset. It is the single-site wrapper over
-// FaultImpacts, kept for the original §7 experiment's shape.
-func OutageImpactOf(ds *measure.Dataset, site string, start, end time.Duration) OutageImpact {
-	fi := FaultImpacts(ds, []FaultWindow{{Label: "outage " + site, Site: site, Start: start, End: end}})[0]
-	return OutageImpact{
-		Site:   site,
-		Before: fi.Before.windowStats(site),
-		During: fi.During.windowStats(site),
-		After:  fi.After.windowStats(site),
-	}
-}
-
 // FaultWindow is one labelled time window whose client-side impact the
 // analysis reports on: typically the envelope of a scheduled fault.
 type FaultWindow struct {
@@ -89,16 +52,6 @@ type PhaseStats struct {
 	// SiteShare is each answering site's share of the answered queries
 	// — the traffic-redistribution picture.
 	SiteShare map[string]float64
-}
-
-// windowStats projects the phase onto the legacy single-site view.
-func (p PhaseStats) windowStats(site string) WindowStats {
-	return WindowStats{
-		Queries:   p.Queries,
-		FailRate:  p.FailRate,
-		SiteShare: p.SiteShare[site],
-		MedianRTT: p.MedianRTT,
-	}
 }
 
 // FaultImpact is the before/during/after account of one fault window:

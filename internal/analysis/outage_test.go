@@ -10,6 +10,9 @@ import (
 	"ritw/internal/measure"
 )
 
+// TestOutageImpact runs 2B with FRA down for the middle 20 minutes —
+// the §7 failover experiment ritw outage prints — and checks the
+// outage window's before/during/after phases.
 func TestOutageImpact(t *testing.T) {
 	combo, err := measure.CombinationByID("2B")
 	if err != nil {
@@ -19,45 +22,53 @@ func TestOutageImpact(t *testing.T) {
 	pc := atlas.DefaultConfig(37)
 	pc.NumProbes = 400
 	cfg.Population = pc
-	start, end := 20*time.Minute, 40*time.Minute
-	cfg.Outage = &measure.Outage{Site: "FRA", Start: start, End: end}
-	ds, err := measure.Run(cfg)
-	if err != nil {
+	sched := &faults.Schedule{
+		Outages: []faults.Outage{{Site: "FRA", Start: 20 * time.Minute, End: 40 * time.Minute}},
+	}
+	cfg.Faults = sched
+	agg := NewFaultAggregator(WindowsFromSchedule(sched), 0, 0)
+	if _, err := measure.RunStream(cfg, agg); err != nil {
 		t.Fatal(err)
 	}
 
-	impact := OutageImpactOf(ds, "FRA", start, end)
-	if impact.Before.Queries == 0 || impact.During.Queries == 0 || impact.After.Queries == 0 {
+	impact := agg.Impacts()[0]
+	if impact.Window.Label != "outage FRA" {
+		t.Errorf("window label = %q", impact.Window.Label)
+	}
+	before, during, after := impact.Before, impact.During, impact.After
+	if before.Queries == 0 || during.Queries == 0 || after.Queries == 0 {
 		t.Fatalf("windows missing traffic: %+v", impact)
 	}
-	if impact.During.SiteShare != 0 {
-		t.Errorf("failed site served %.2f of answered queries while down", impact.During.SiteShare)
+	if during.SiteShare["FRA"] != 0 {
+		t.Errorf("failed site served %.2f of answered queries while down", during.SiteShare["FRA"])
 	}
-	if impact.Before.SiteShare == 0 {
+	if before.SiteShare["FRA"] == 0 {
 		t.Error("failed site should have served traffic beforehand")
 	}
 	// With hold-down failover the client failure rate barely moves
 	// during a single-site outage (resolvers switch within the client
 	// timeout); the robust client-visible fingerprints are the retry
 	// latency penalty and the dead site's share dropping to zero.
-	if impact.During.FailRate > 0.3 {
-		t.Errorf("failover should bound the damage: fail rate %.2f", impact.During.FailRate)
+	if during.FailRate > 0.3 {
+		t.Errorf("failover should bound the damage: fail rate %.2f", during.FailRate)
 	}
-	if impact.During.MedianRTT < impact.Before.MedianRTT+5 {
+	if during.MedianRTT < before.MedianRTT+5 {
 		t.Errorf("outage retries should cost latency: median RTT %.1f -> %.1f",
-			impact.Before.MedianRTT, impact.During.MedianRTT)
+			before.MedianRTT, during.MedianRTT)
 	}
 	// After recovery the failure rate returns to baseline-ish.
-	if impact.After.FailRate > impact.During.FailRate {
+	if after.FailRate > during.FailRate {
 		t.Errorf("failure rate should recover: during=%.3f after=%.3f",
-			impact.During.FailRate, impact.After.FailRate)
+			during.FailRate, after.FailRate)
 	}
 }
 
 func TestOutageImpactEmptyDataset(t *testing.T) {
 	ds := &measure.Dataset{ComboID: "X", Sites: []string{"FRA", "DUB"}, Duration: time.Hour}
-	impact := OutageImpactOf(ds, "FRA", 10*time.Minute, 20*time.Minute)
-	if impact.Before.Queries != 0 || impact.During.FailRate != 0 || impact.After.MedianRTT != 0 {
+	impact := FaultImpacts(ds, []FaultWindow{{Label: "outage FRA", Site: "FRA",
+		Start: 10 * time.Minute, End: 20 * time.Minute}})[0]
+	if impact.Before.Queries != 0 || impact.During.FailRate != 0 || impact.After.MedianRTT != 0 ||
+		impact.During.SiteShare["FRA"] != 0 || impact.FailoverPenaltyMs != 0 {
 		t.Errorf("empty dataset impact = %+v", impact)
 	}
 }

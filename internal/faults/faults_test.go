@@ -8,11 +8,12 @@ import (
 	"time"
 )
 
-// TestScheduleValidation is the table covering the window edge cases
-// the old measure.Outage validation only partially caught: zero-length
-// and inverted windows, negative starts, out-of-range rates, and
-// overlapping down windows for the same site (including overlaps that
-// only appear once a flap is expanded into cycles).
+// TestScheduleValidation is the table covering the window edge cases:
+// zero-length and inverted windows, negative starts, out-of-range
+// rates, and overlapping down windows for the same site (including
+// overlaps that only appear once a flap is expanded into cycles). A
+// site outside the deployment is caught later, by Compile (see
+// TestCompileRejectsUnknownSite).
 func TestScheduleValidation(t *testing.T) {
 	cases := []struct {
 		name    string

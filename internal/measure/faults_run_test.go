@@ -182,33 +182,3 @@ func TestBackoffShedsDeadSiteTraffic(t *testing.T) {
 		t.Errorf("answer rate with backoff %.4f; failover should absorb the dead site", rateOn)
 	}
 }
-
-// TestLegacyOutageMergesIntoSchedule covers the RunConfig migration:
-// the old single-outage knob and the new schedule compose into one
-// injector, and same-site overlap between them is rejected.
-func TestLegacyOutageMergesIntoSchedule(t *testing.T) {
-	t.Parallel()
-	combo, _ := CombinationByID("2B")
-	cfg := DefaultRunConfig(combo, 11)
-	pc := atlas.DefaultConfig(11)
-	pc.NumProbes = 120
-	cfg.Population = pc
-	cfg.Outage = &Outage{Site: "FRA", Start: 10 * time.Minute, End: 20 * time.Minute}
-	cfg.Faults = &faults.Schedule{
-		Outages: []faults.Outage{{Site: "DUB", Start: 30 * time.Minute, End: 40 * time.Minute}},
-	}
-	ds, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Faults.Cut["FRA"]) == 0 || len(ds.Faults.Cut["DUB"]) == 0 {
-		t.Errorf("merged schedule should cut both sites: %+v", ds.Faults.Cut)
-	}
-
-	cfg.Faults = &faults.Schedule{
-		Outages: []faults.Outage{{Site: "FRA", Start: 15 * time.Minute, End: 25 * time.Minute}},
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Error("overlapping legacy outage + scheduled outage on one site should fail validation")
-	}
-}

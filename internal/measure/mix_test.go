@@ -42,9 +42,9 @@ func mixCfg(t *testing.T, probes int, seed int64) RunConfig {
 
 // TestMixLayoutIdentity is the fleet-mix acceptance gate: with a
 // non-nil mix (including modern segments), the dataset must be
-// byte-identical across {1,4} shards x {in-process, 2 workers} x
-// {heap, wheel} — the entity-keyed assignment may not depend on lane
-// membership, process layout, or scheduler.
+// byte-identical across {1,4} shards x {in-process, 2 workers} — the
+// entity-keyed assignment may not depend on lane membership or process
+// layout.
 func TestMixLayoutIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full layout matrix")
@@ -57,26 +57,23 @@ func TestMixLayoutIdentity(t *testing.T) {
 	}
 	for _, shards := range []int{1, 4} {
 		for _, workers := range []int{0, 2} {
-			for _, sched := range []netsim.SchedulerKind{netsim.SchedHeap, netsim.SchedWheel} {
-				if workers > shards {
-					continue
-				}
-				cfg := base
-				cfg.Shards = shards
-				cfg.Workers = workers
-				cfg.Scheduler = sched
-				name := fmt.Sprintf("shards=%d workers=%d sched=%v", shards, workers, sched)
-				gotCSV, gotDS := runToCSV(t, cfg)
-				if !bytes.Equal(gotCSV, wantCSV) {
-					t.Fatalf("%s: CSV stream differs from baseline\n%s",
-						name, firstDiff(gotCSV, wantCSV))
-				}
-				if !reflect.DeepEqual(gotDS.Records, wantDS.Records) {
-					t.Fatalf("%s: materialized query records differ", name)
-				}
-				if !reflect.DeepEqual(gotDS.AuthRecords, wantDS.AuthRecords) {
-					t.Fatalf("%s: auth records differ", name)
-				}
+			if workers > shards {
+				continue
+			}
+			cfg := base
+			cfg.Shards = shards
+			cfg.Workers = workers
+			name := fmt.Sprintf("shards=%d workers=%d", shards, workers)
+			gotCSV, gotDS := runToCSV(t, cfg)
+			if !bytes.Equal(gotCSV, wantCSV) {
+				t.Fatalf("%s: CSV stream differs from baseline\n%s",
+					name, firstDiff(gotCSV, wantCSV))
+			}
+			if !reflect.DeepEqual(gotDS.Records, wantDS.Records) {
+				t.Fatalf("%s: materialized query records differ", name)
+			}
+			if !reflect.DeepEqual(gotDS.AuthRecords, wantDS.AuthRecords) {
+				t.Fatalf("%s: auth records differ", name)
 			}
 		}
 	}

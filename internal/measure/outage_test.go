@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ritw/internal/atlas"
+	"ritw/internal/faults"
 	"ritw/internal/geo"
 )
 
@@ -19,7 +20,9 @@ func outageRun(t *testing.T) *Dataset {
 	pc := atlas.DefaultConfig(31)
 	pc.NumProbes = 400
 	cfg.Population = pc
-	cfg.Outage = &Outage{Site: "FRA", Start: 20 * time.Minute, End: 40 * time.Minute}
+	cfg.Faults = &faults.Schedule{
+		Outages: []faults.Outage{{Site: "FRA", Start: 20 * time.Minute, End: 40 * time.Minute}},
+	}
 	ds, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -92,17 +95,21 @@ func TestOutageRecovery(t *testing.T) {
 	}
 }
 
+// TestOutageValidation pins that a run surfaces the schedule's
+// errors: faults.Compile rejects a site outside the combination and
+// faults.Schedule.Validate a zero-length window (the faults package
+// tests cover both checks in isolation).
 func TestOutageValidation(t *testing.T) {
 	combo, _ := CombinationByID("2B")
 	cfg := DefaultRunConfig(combo, 1)
 	pc := atlas.DefaultConfig(1)
 	pc.NumProbes = 20
 	cfg.Population = pc
-	cfg.Outage = &Outage{Site: "SYD", Start: 0, End: time.Minute}
+	cfg.Faults = &faults.Schedule{Outages: []faults.Outage{{Site: "SYD", Start: 0, End: time.Minute}}}
 	if _, err := Run(cfg); err == nil {
 		t.Error("outage for a site not in the combination should fail")
 	}
-	cfg.Outage = &Outage{Site: "FRA", Start: time.Minute, End: time.Minute}
+	cfg.Faults = &faults.Schedule{Outages: []faults.Outage{{Site: "FRA", Start: time.Minute, End: time.Minute}}}
 	if _, err := Run(cfg); err == nil {
 		t.Error("empty outage window should fail")
 	}

@@ -544,7 +544,7 @@ func mergeStreams(chans []chan []emitted, deliver func(stream int, rec emitted))
 // population. It returns the lane's fault and attack reports (nil
 // without the respective schedule) and how many records it emitted.
 func runOneShard(ctx context.Context, cfg RunConfig, pl *runPlan, sched *faults.Schedule, s int, out chan<- []emitted, metrics *obs.Registry) (laneReport, int64, error) {
-	sim := netsim.NewSimulatorKind(cfg.Scheduler)
+	sim := netsim.NewSimulator()
 	net := netsim.NewNetwork(sim, pl.model, cfg.Seed+1)
 	net.LossRate = cfg.LossRate
 	net.UseKeyedRand(uint64(cfg.Seed + 1))

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ritw/internal/atlas"
+	"ritw/internal/faults"
 )
 
 // shardCfg builds a scaled-down run config for the cross-check tests.
@@ -85,6 +86,22 @@ func TestShardedMatchesSequential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// fiveKindSchedule exercises every fault family against combination 3B
+// (DUB/FRA/IAD); shared by the shard and worker differential tests.
+func fiveKindSchedule() *faults.Schedule {
+	return &faults.Schedule{
+		Outages: []faults.Outage{{Site: "DUB", Start: 4 * time.Minute, End: 8 * time.Minute}},
+		Flaps: []faults.Flap{{Site: "FRA", Start: 10 * time.Minute, End: 14 * time.Minute,
+			Period: time.Minute, DownFrac: 0.5}},
+		Bursts: []faults.LossBurst{{Site: "IAD", Start: 2 * time.Minute, End: 16 * time.Minute,
+			Rate: 0.3, Fraction: 0.5}},
+		Slowdowns: []faults.Slowdown{{Site: "FRA", Start: 1 * time.Minute, End: 9 * time.Minute,
+			AddRTT: 80 * time.Millisecond, Fraction: 0.4}},
+		Partitions: []faults.Partition{{Site: "IAD", Start: 6 * time.Minute, End: 12 * time.Minute,
+			Fraction: 0.3}},
 	}
 }
 

@@ -44,7 +44,7 @@ const snapshotVersion = 1
 
 // Snapshot is the on-disk checkpoint state. Fingerprint covers every
 // config field that shapes the record stream — but deliberately not
-// the process layout (shards, workers, scheduler), which byte-identity
+// the process layout (shards, workers), which byte-identity
 // makes interchangeable, and not Duration: the simulation is causal,
 // so a longer run reproduces a shorter run's stream as its prefix,
 // which is what lets a finished replay be incrementally extended.

@@ -18,7 +18,6 @@ import (
 	"ritw/internal/faults"
 	"ritw/internal/geo"
 	"ritw/internal/lanewire"
-	"ritw/internal/netsim"
 	"ritw/internal/obs"
 	"ritw/internal/resolver"
 )
@@ -83,7 +82,6 @@ type laneJob struct {
 	Model         geo.PathModel
 	Faults        *faults.Schedule
 	Backoff       *resolver.BackoffConfig
-	Scheduler     uint8
 	// Attacks/Defense are pointers with omitempty so attack-free jobs
 	// serialize exactly as they did before attacks existed — which keeps
 	// runFingerprint, and therefore old snapshots, valid.
@@ -95,9 +93,8 @@ type laneJob struct {
 }
 
 // laneJobFor captures the resolved run parameters. Faults is the
-// already-merged schedule (Outage folded in by RunContext), and
-// Population comes from the plan, so worker and parent cannot drift on
-// defaulting.
+// schedule RunContext validated, and Population comes from the plan, so
+// worker and parent cannot drift on defaulting.
 func laneJobFor(cfg RunConfig, pl *runPlan, sched *faults.Schedule) laneJob {
 	j := laneJob{
 		Version:       laneJobVersion,
@@ -114,7 +111,6 @@ func laneJobFor(cfg RunConfig, pl *runPlan, sched *faults.Schedule) laneJob {
 		Model:         pl.model,
 		Faults:        sched,
 		Backoff:       cfg.Backoff,
-		Scheduler:     uint8(cfg.Scheduler),
 	}
 	if !cfg.Attacks.Empty() {
 		j.Attacks = cfg.Attacks
@@ -142,7 +138,6 @@ func (j *laneJob) runConfig() RunConfig {
 		ClientTimeout: j.ClientTimeout,
 		IPv6Subset:    j.IPv6Subset,
 		Backoff:       j.Backoff,
-		Scheduler:     netsim.SchedulerKind(j.Scheduler),
 	}
 	cfg.Attacks = j.Attacks
 	if j.Defense != nil {
@@ -153,7 +148,7 @@ func (j *laneJob) runConfig() RunConfig {
 }
 
 // runFingerprint hashes the stream-shaping parameters for snapshot
-// compatibility checks. Layout fields (shards, workers, scheduler) are
+// compatibility checks. Layout fields (shards, workers) are
 // excluded because byte-identity makes layouts interchangeable, and
 // Duration is excluded because the simulation is causal: a longer run
 // reproduces a shorter run's stream as a prefix, which is what allows
@@ -162,7 +157,6 @@ func runFingerprint(cfg RunConfig, pl *runPlan, sched *faults.Schedule) uint64 {
 	j := laneJobFor(cfg, pl, sched)
 	j.Shards = 0
 	j.Duration = 0
-	j.Scheduler = 0
 	b, err := json.Marshal(&j)
 	if err != nil {
 		// Every field is a plain value; Marshal cannot fail on them.

@@ -2,18 +2,18 @@ package netsim
 
 import "time"
 
-// event is one queued callback. Stored by value everywhere — in heap
-// nodes, wheel slots and the wheel's due buffer — so the schedulers
-// never allocate per event (the closure a caller passes is the only
-// allocation, and it belongs to the caller).
+// event is one queued callback. Stored by value in the heap slice, so
+// the queue never allocates per event once its capacity is warm (the
+// closure a caller passes is the only allocation, and it belongs to
+// the caller).
 type event struct {
 	at  time.Duration
 	seq uint64 // FIFO tiebreak for equal timestamps
 	fn  func()
 }
 
-// eventLess is the one total order every scheduler implements:
-// ascending time, scheduling order within an instant.
+// eventLess is the queue's total order: ascending time, scheduling
+// order within an instant.
 func eventLess(a, b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -25,8 +25,7 @@ func eventLess(a, b event) bool {
 // a value slice. Hand-rolled instead of container/heap because the
 // stdlib interface boxes every element through `any`, which costs an
 // allocation per Push/Pop — on a path run once per simulated packet,
-// that boxing dominated the heap's own work. The same helpers back the
-// wheel's per-tick due buffer.
+// that boxing dominated the heap's own work.
 func heapPushEvent(h *[]event, ev event) {
 	*h = append(*h, ev)
 	s := *h
@@ -67,27 +66,3 @@ func heapPopEvent(h *[]event) event {
 	}
 	return top
 }
-
-// heapScheduler is the reference Scheduler: one flat binary min-heap.
-type heapScheduler struct {
-	h []event
-}
-
-func newHeapScheduler() *heapScheduler { return &heapScheduler{} }
-
-// Push implements Scheduler.
-func (s *heapScheduler) Push(at time.Duration, seq uint64, fn func()) {
-	heapPushEvent(&s.h, event{at: at, seq: seq, fn: fn})
-}
-
-// PopLE implements Scheduler.
-func (s *heapScheduler) PopLE(limit time.Duration) (time.Duration, func(), bool) {
-	if len(s.h) == 0 || s.h[0].at > limit {
-		return 0, nil, false
-	}
-	ev := heapPopEvent(&s.h)
-	return ev.at, ev.fn, true
-}
-
-// Len implements Scheduler.
-func (s *heapScheduler) Len() int { return len(s.h) }

@@ -17,11 +17,12 @@ import (
 )
 
 // Simulator is a deterministic discrete-event executor with a virtual
-// clock. The zero value is not usable; create one with NewSimulator
-// (binary-heap event queue) or NewSimulatorKind (choice of Scheduler).
+// clock. Its event queue is a binary min-heap ordered by (time,
+// scheduling order); see DESIGN.md §8.5 for why it is the only one.
+// Create one with NewSimulator.
 type Simulator struct {
 	now    time.Duration
-	sched  Scheduler
+	queue  []event
 	nextID uint64
 	events *obs.Counter
 }
@@ -33,18 +34,9 @@ func (s *Simulator) SetMetrics(r *obs.Registry) {
 	s.events = r.Counter("netsim_events_total")
 }
 
-// NewSimulator returns an empty simulator at virtual time zero, using
-// the reference binary-heap scheduler.
+// NewSimulator returns an empty simulator at virtual time zero.
 func NewSimulator() *Simulator {
-	return NewSimulatorKind(SchedHeap)
-}
-
-// NewSimulatorKind returns an empty simulator at virtual time zero
-// using the given scheduler. The choice affects wall-clock performance
-// only: both schedulers execute events in the identical order, so any
-// seeded run produces byte-identical results under either.
-func NewSimulatorKind(k SchedulerKind) *Simulator {
-	return &Simulator{sched: NewScheduler(k)}
+	return &Simulator{}
 }
 
 // Now returns the current virtual time.
@@ -58,7 +50,7 @@ func (s *Simulator) Schedule(d time.Duration, fn func()) {
 		d = 0
 	}
 	s.nextID++
-	s.sched.Push(s.now+d, s.nextID, fn)
+	heapPushEvent(&s.queue, event{at: s.now + d, seq: s.nextID, fn: fn})
 }
 
 // ScheduleAt runs fn at absolute virtual time t (clamped to now).
@@ -124,19 +116,19 @@ func (s *Simulator) RunUntilContext(ctx context.Context, deadline time.Duration)
 }
 
 // Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return s.sched.Len() }
+func (s *Simulator) Pending() int { return len(s.queue) }
 
 // step pops and runs the earliest event at or before deadline,
 // reporting whether one existed.
 func (s *Simulator) step(deadline time.Duration) bool {
-	at, fn, ok := s.sched.PopLE(deadline)
-	if !ok {
+	if len(s.queue) == 0 || s.queue[0].at > deadline {
 		return false
 	}
-	if at > s.now {
-		s.now = at
+	ev := heapPopEvent(&s.queue)
+	if ev.at > s.now {
+		s.now = ev.at
 	}
 	s.events.Inc()
-	fn()
+	ev.fn()
 	return true
 }
